@@ -2,19 +2,49 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Hierarchy-traversal strategy (paper §3.3–3.6 and the §4.3 baselines). */
-sealed trait Strategy { def label: String }
+/** Hierarchy-traversal strategy (paper §3.3–3.6 and the §4.3 baselines).
+  *
+  * All five run the one loop in [[Darwin]]; a strategy is the data that
+  * loop reads: the candidate pools it draws from, in mode order; the key
+  * that ranks a pool; whether a universal pick with avg benefit ≤
+  * `minAvgBenefit` is dropped without a query; and τ, the number of
+  * consecutive NO answers after which the loop moves to the next pool.
+  */
+sealed abstract class Strategy private[core] (
+    val label: String,
+    private[core] val pools: Vector[Strategy.Pool],
+    private[core] val key: Strategy.Key,
+    private[core] val benefitFilter: Boolean = false,
+    private[core] val switchAfter: Int = Int.MaxValue)
+
 object Strategy {
+  private[core] sealed trait Pool
+  /** Parents/children of answered rules (Alg. 3). */
+  private[core] case object Local extends Pool
+  /** Alg. 2 candidates over the current P, regenerated after every YES. */
+  private[core] case object Universal extends Pool
+
+  private[core] sealed trait Key
+  /** Σ_{s ∈ C_r \ P} p_s, ties to more fresh sentences (§3.3). */
+  private[core] case object Benefit extends Key
+  /** Benefit per fresh sentence, ties to higher benefit. */
+  private[core] case object AvgBenefit extends Key
+  /** |C_r|. */
+  private[core] case object Coverage extends Key
+
   /** Alg. 3: explore parents/children of confirmed rules. */
-  case object LocalSearch extends Strategy { val label = "LS" }
+  case object LocalSearch extends Strategy("LS", Vector(Local), Benefit)
   /** Alg. 4: best global benefit, skipping rules with avg benefit ≤ 0.5. */
-  case object UniversalSearch extends Strategy { val label = "US" }
+  case object UniversalSearch
+      extends Strategy("US", Vector(Universal), Benefit, benefitFilter = true)
   /** Alg. 5: toggle between the two after τ consecutive failures. */
-  final case class HybridSearch(tau: Int = 5) extends Strategy { val label = "HS" }
+  final case class HybridSearch(tau: Int = 5)
+      extends Strategy("HS", Vector(Universal, Local), Benefit,
+                       benefitFilter = true, switchAfter = tau)
   /** §4.3 baseline: query the rule with highest expected precision. */
-  case object HighP extends Strategy { val label = "HighP" }
+  case object HighP extends Strategy("HighP", Vector(Universal), AvgBenefit)
   /** §4.3 baseline: query the rule with highest coverage. */
-  case object HighC extends Strategy { val label = "HighC" }
+  case object HighC extends Strategy("HighC", Vector(Universal), Coverage)
 }
 
 final case class DarwinConfig(
@@ -52,7 +82,9 @@ final case class DarwinResult(
   *  - the budget counts oracle queries only — the UniversalSearch
   *    `avgBenefit ≤ 0.5` skip removes the rule without consuming budget;
   *  - HybridSearch's failure counter resets on a YES (the paper's stated
-  *    intent: switch after τ *unsuccessful* attempts).
+  *    intent: switch after τ *unsuccessful* attempts);
+  *  - a pick that is not filtered is marked asked even when it is
+  *    redundant and so never reaches the oracle.
   */
 final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
                    cfg: DarwinConfig = DarwinConfig()) {
@@ -112,11 +144,6 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     def avgBenefit(p: String): Double = {
       val (b, f) = stats(p); if (f == 0) 0.0 else b / f
     }
-    def freshCount(p: String): Int = stats(p)._2
-    // §3.2 cleanup applied to live pools: a rule whose coverage is inside P
-    // cannot add positives — drop it without spending an oracle query.
-    def prune(pool: mutable.LinkedHashSet[String]): Unit =
-      pool.filterInPlace(p => freshCount(p) > 0)
 
     // §3.2 diversity constraint: never spend a query on a rule whose
     // coverage is nearly identical to one already answered — the oracle
@@ -143,8 +170,13 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
         CandidateGen.cleanup(index, P, CandidateGen.generate(index, P, cfg.k))
           .filterNot(asked))
 
+    val key: String => (Double, Double) = strategy.key match {
+      case Strategy.Benefit    => p => { val (b, f) = stats(p); (b, f.toDouble) }
+      case Strategy.AvgBenefit => p => (avgBenefit(p), stats(p)._1)
+      case Strategy.Coverage   => p => (index.count(p).toDouble, 0.0)
+    }
     /** argmax over a candidate pool with deterministic tie-breaking. */
-    def pick(pool: Iterable[String], key: String => (Double, Double)): Option[String] =
+    def pick(pool: Iterable[String]): Option[String] =
       pool.foldLeft(Option.empty[(String, (Double, Double))]) { (best, p) =>
         val k = key(p)
         best match {
@@ -154,13 +186,6 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
           case _ => Some((p, k))
         }
       }.map(_._1)
-
-    val byBenefit: String => (Double, Double) =
-      p => { val (b, f) = stats(p); (b, f.toDouble) }
-    val byAvgBenefit: String => (Double, Double) =
-      p => { val (b, f) = stats(p); (if (f == 0) 0.0 else b / f, b) }
-    val byCoverage: String => (Double, Double) =
-      p => (index.count(p).toDouble, 0.0)
 
     def accept(r: String): Unit = {
       if (!R.contains(r)) R += r
@@ -175,104 +200,65 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     def record(r: String, answer: Boolean): Unit =
       trace += QueryEvent(oracle.queries, r, answer, P.cardinality(), prep.recall(P))
 
-    val local     = mutable.LinkedHashSet.empty[String]
-    seedRule.foreach(local += _)
-    // Rule-less start: LocalSearch needs an anchor — use the indexed rule
-    // with the highest coverage over the seed positives (generate_hierarchy
-    // would surface it first anyway).
-    if (seedRule.isEmpty)
-      CandidateGen.generate(index, P, 1).foreach(local += _)
-    var universal = regen()
+    val usesLocal     = strategy.pools.contains(Strategy.Local)
+    val usesUniversal = strategy.pools.contains(Strategy.Universal)
 
+    val local = mutable.LinkedHashSet.empty[String]
     def addLocalParents(r: String): Unit =
       index.parents(r).filterNot(asked).foreach(local += _)
     def addLocalChildren(r: String): Unit =
       index.children(r).filterNot(asked).foreach(local += _)
+    if (usesLocal) seedRule match {
+      // Alg. 3: the seed is pre-verified, so expand its neighborhood directly.
+      case Some(r) => addLocalParents(r); addLocalChildren(r)
+      // Rule-less start: anchor on the indexed rule with the highest
+      // coverage over the seed positives (Alg. 2 would surface it first).
+      case None => CandidateGen.generate(index, P, 1).foreach(local += _)
+    }
+    var universal =
+      if (usesUniversal) regen() else mutable.LinkedHashSet.empty[String]
 
-    strategy match {
-      case Strategy.LocalSearch =>
-        // Alg. 3. The seed is pre-verified: expand its neighborhood directly.
-        seedRule.foreach { r => local -= r; addLocalParents(r); addLocalChildren(r) }
-        prune(local)
-        while (oracle.queries < budget && local.nonEmpty) {
-          val r = pick(local, byBenefit).get
-          local -= r; asked += r
+    // One loop for every strategy. `mode` indexes strategy.pools; τ
+    // consecutive *oracle failures* move to the next pool (paper §3.6: the
+    // number of unsuccessful attempts before the switch happens), and so
+    // does an empty pool. The loop ends when every pool is empty in a row.
+    var mode      = 0
+    var attempt   = 0
+    var exhausted = 0
+    def nextMode(): Unit = { mode = (mode + 1) % strategy.pools.length; attempt = 0 }
+    while (oracle.queries < budget && exhausted < strategy.pools.length) {
+      if (attempt > strategy.switchAfter) nextMode()
+      val inUniversal = strategy.pools(mode) == Strategy.Universal
+      val pool = if (inUniversal) universal else local
+      // §3.2 cleanup on the local pool: a rule whose coverage is inside P
+      // cannot add positives, so drop it without spending a query. The
+      // universal pool is rebuilt with that cleanup after every YES, the
+      // only time P grows.
+      if (!inUniversal) local.filterInPlace(p => stats(p)._2 > 0)
+      if (pool.isEmpty) {
+        nextMode(); exhausted += 1
+      } else {
+        exhausted = 0
+        val r = pick(pool).get
+        if (inUniversal && strategy.benefitFilter && avgBenefit(r) <= cfg.minAvgBenefit) {
+          universal -= r // filtered: not asked, not an attempt, not a query
+        } else {
+          universal -= r; local -= r; asked += r
           if (!redundant(r)) {
             val yes = askOracle(r)
-            if (yes) { accept(r); addLocalParents(r) } else addLocalChildren(r)
-            record(r, yes)
-          }
-          prune(local)
-        }
-
-      case Strategy.UniversalSearch =>
-        var continueLoop = true
-        while (continueLoop && oracle.queries < budget && universal.nonEmpty) {
-          val r = pick(universal, byBenefit).get
-          if (avgBenefit(r) <= cfg.minAvgBenefit || redundant(r)) {
-            universal -= r // skipped, no oracle cost (see DESIGN.md)
-          } else {
-            universal -= r; asked += r
-            val yes = askOracle(r)
-            if (yes) { accept(r); universal = regen() }
-            record(r, yes)
-          }
-          continueLoop = universal.nonEmpty
-        }
-
-      case Strategy.HybridSearch(tau) =>
-        seedRule.foreach { r => local -= r; addLocalParents(r); addLocalChildren(r) }
-        var universalMode = true
-        var attempt       = 0
-        var exhausted     = 0
-        while (oracle.queries < budget && exhausted < 2) {
-          // τ consecutive *oracle failures* flip the mode (paper §3.6: the
-          // number of unsuccessful attempts before the switch happens)
-          if (attempt > tau) { universalMode = !universalMode; attempt = 0 }
-          val pool = if (universalMode) universal else local
-          prune(pool)
-          if (pool.isEmpty) {
-            universalMode = !universalMode; attempt = 0; exhausted += 1
-          } else {
-            exhausted = 0
-            val r = pick(pool, byBenefit).get
-            if (universalMode && avgBenefit(r) <= cfg.minAvgBenefit) {
-              universal -= r // filtered, not an attempt and not a query
-            } else if (redundant(r)) {
-              universal -= r; local -= r; asked += r
+            if (yes) {
+              attempt = 0
+              accept(r)
+              if (usesLocal) addLocalParents(r)
+              if (usesUniversal) universal = regen()
             } else {
-              universal -= r; local -= r; asked += r
-              val yes = askOracle(r)
-              if (yes) {
-                attempt = 0
-                accept(r); addLocalParents(r); universal = regen()
-              } else { attempt += 1; addLocalChildren(r) }
-              record(r, yes)
+              attempt += 1
+              if (usesLocal) addLocalChildren(r)
             }
-          }
-        }
-
-      case Strategy.HighP =>
-        while (oracle.queries < budget && universal.nonEmpty) {
-          val r = pick(universal, byAvgBenefit).get
-          universal -= r; asked += r
-          if (!redundant(r)) {
-            val yes = askOracle(r)
-            if (yes) { accept(r); universal = regen() }
             record(r, yes)
           }
         }
-
-      case Strategy.HighC =>
-        while (oracle.queries < budget && universal.nonEmpty) {
-          val r = pick(universal, byCoverage).get
-          universal -= r; asked += r
-          if (!redundant(r)) {
-            val yes = askOracle(r)
-            if (yes) { accept(r); universal = regen() }
-            record(r, yes)
-          }
-        }
+      }
     }
 
     DarwinResult(R.toVector, P, trace.result(), model)

@@ -6,9 +6,7 @@ import repro.data.{DatasetSpec, SplitMix}
 import repro.weak.LabelModel
 
 /** Shared experiment harness: every paper table/claim is produced here and
-  * rendered by both the spark-submit jobs (jobs/) and the bench suites
-  * (bench/). Keeping the logic in one place guarantees the bench numbers
-  * in EXPERIMENTS.md and the job output agree.
+  * rendered by the bench suites (bench/), one suite per table or claim.
   */
 object Experiments {
 

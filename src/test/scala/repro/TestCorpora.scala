@@ -3,7 +3,6 @@ package repro
 import org.apache.spark.sql.SparkSession
 import repro.core.PreparedCorpus
 import repro.data.{DatasetSpec, Datasets}
-import repro.grammar.SketchConfig
 
 /** Shared cache of prepared corpora for the test run (one JVM, sequential
   * suites): preparing a corpus runs the full Spark dataflow once per
@@ -12,10 +11,8 @@ import repro.grammar.SketchConfig
 object TestCorpora {
   private val cache = scala.collection.concurrent.TrieMap.empty[(String, Long), PreparedCorpus]
 
-  def prepared(spark: SparkSession, spec: DatasetSpec, n: Long,
-               cfg: SketchConfig = SketchConfig()): PreparedCorpus =
-    cache.getOrElseUpdate((spec.name, n),
-      PreparedCorpus.prepare(spark, spec, Some(n), cfg))
+  private def prepared(spark: SparkSession, spec: DatasetSpec, n: Long): PreparedCorpus =
+    cache.getOrElseUpdate((spec.name, n), PreparedCorpus.prepare(spark, spec, Some(n)))
 
   /** Small corpora used by most unit suites (SF analogue: tiny). */
   def tweetsSmall(spark: SparkSession): PreparedCorpus =

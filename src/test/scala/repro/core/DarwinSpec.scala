@@ -6,6 +6,8 @@ import repro.data.Datasets
 class DarwinSpec extends SparkSpec {
 
   private def hs = Strategy.HybridSearch()
+  private val strategies = Seq(Strategy.LocalSearch, Strategy.UniversalSearch, hs,
+                               Strategy.HighP, Strategy.HighC)
 
   private def runOn(prep: PreparedCorpus, seedRule: String, budget: Int,
                     st: Strategy): (DarwinResult, ExactOracle) = {
@@ -29,24 +31,30 @@ class DarwinSpec extends SparkSpec {
 
   test("accepted rules are precise (>= oracle threshold)") {
     val prep = TestCorpora.musiciansSmall(spark)
-    val (res, oracle) = runOn(prep, "G:composer", 60, hs)
-    for (r <- res.rules)
-      assert(oracle.precision(prep.index.ids(r)) >= 0.8, s"imprecise rule $r")
+    for (st <- strategies) {
+      val (res, oracle) = runOn(prep, "G:composer", 60, st)
+      for (r <- res.rules)
+        assert(oracle.precision(prep.index.ids(r)) >= 0.8, s"${st.label}: imprecise rule $r")
+    }
   }
 
   test("P grows monotonically along the trace") {
     val prep = TestCorpora.causeEffectSmall(spark)
-    val (res, _) = runOn(prep, "G:caused", 50, hs)
-    val sizes = res.trace.map(_.pSize)
-    assert(sizes.zip(sizes.drop(1)).forall { case (a, b) => b >= a })
+    for (st <- strategies) {
+      val (res, _) = runOn(prep, "G:caused", 50, st)
+      val sizes = res.trace.map(_.pSize)
+      assert(sizes.zip(sizes.drop(1)).forall { case (a, b) => b >= a }, st.label)
+    }
   }
 
   test("budget is respected and trace query ids are increasing") {
     val prep = TestCorpora.tweetsSmall(spark)
-    val (res, oracle) = runOn(prep, "G:craving", 15, hs)
-    assert(oracle.queries <= 15)
-    assert(res.trace.map(_.query) === res.trace.map(_.query).sorted)
-    assert(res.trace.size === oracle.queries)
+    for (st <- strategies) {
+      val (res, oracle) = runOn(prep, "G:craving", 15, st)
+      assert(oracle.queries <= 15, st.label)
+      assert(res.trace.map(_.query) === res.trace.map(_.query).sorted, st.label)
+      assert(res.trace.size === oracle.queries, st.label)
+    }
   }
 
   test("positive answers extend P by the rule coverage") {
